@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: tier-1 build + tests, the backend-equivalence re-run
+# Repo gate: tier-1 build + tests, a -j$(nproc) repeat of the suites that
+# write to disk, the backend-equivalence re-run
 # (index/GP/DTW suites under SMILER_BACKEND=native), the obs concurrency
 # tests under ThreadSanitizer, the serve SPSC/soak TSan pass, the
 # tracing-overhead gate (tracing-on must stay within 3% of tracing-off on
@@ -111,6 +112,14 @@ if [[ "$MODE" == "fast" ]]; then
 else
   ctest --test-dir build --output-on-failure -j "$(nproc)"
 fi
+
+echo "== on-disk test isolation (chaos/checkpoint/store suites, -j$(nproc) x20) =="
+# ctest runs each test as its own process, all under one temp dir: the
+# suites that write checkpoints and spill segments must never share a
+# file. Each test repeats until it fails, up to 20 times, with the others
+# running beside it.
+ctest --test-dir build -j "$(nproc)" --repeat until-fail:20 \
+  -R 'Chaos|Checkpoint|Store|StatusPaths' --output-on-failure | tail -n 3
 
 echo "== backend equivalence (tier-1 index/GP/DTW suites, SMILER_BACKEND=native) =="
 # The native backend must be a drop-in for the simulated grid: the index,

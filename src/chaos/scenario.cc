@@ -1,11 +1,16 @@
 #include "chaos/scenario.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
+#include <system_error>
 #include <utility>
 
 #include "chaos/invariants.h"
@@ -114,6 +119,39 @@ FaultSchedule DefaultSchedule() {
 ScenarioRunner::ScenarioRunner(ScenarioOptions options)
     : opt_(std::move(options)) {}
 
+namespace {
+
+/// A run's private scratch directory, `<scratch_dir>/<pid>-<seq>/`:
+/// concurrent runs — ctest -j runs each test as its own process, all
+/// under one temp dir — never share a checkpoint or segment file. Created
+/// on construction, removed with everything in it on destruction.
+class RunScratchDir {
+ public:
+  explicit RunScratchDir(const std::string& parent) {
+    if (parent.empty()) return;
+    static std::atomic<int> next_seq{0};
+    path_ = parent + "/" + std::to_string(::getpid()) + "-" +
+            std::to_string(next_seq.fetch_add(1));
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+    std::filesystem::create_directories(path_, ec);
+  }
+  ~RunScratchDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  RunScratchDir(const RunScratchDir&) = delete;
+  RunScratchDir& operator=(const RunScratchDir&) = delete;
+
+  /// Empty when the run has no scratch_dir (checkpointing disabled).
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+}  // namespace
+
 ScenarioResult ScenarioRunner::Run() {
   ScenarioResult result;
   Digest digest;
@@ -153,6 +191,9 @@ ScenarioResult ScenarioRunner::Run() {
   serve::ServerOptions server_options;
   server_options.num_shards = opt_.num_shards;
   server_options.queue_capacity = opt_.queue_capacity;
+  // Declared before the store so its files are gone only after the
+  // store closed them.
+  const RunScratchDir scratch(opt_.scratch_dir);
   // Declared before the server so it outlives the fleet holding a raw
   // pointer to it (AttachStore), whatever the exit path.
   std::unique_ptr<store::TieredStateStore> tiered_store;
@@ -164,13 +205,13 @@ ScenarioResult ScenarioRunner::Run() {
   }
   serve::PredictionServer& server = **server_or;
   if (opt_.store_spill_every > 0) {
-    if (opt_.scratch_dir.empty()) {
+    if (scratch.path().empty()) {
       result.status = Status::InvalidArgument(
           "store_spill_every requires a scratch_dir for spill segments");
       return result;
     }
     store::StoreOptions store_options;
-    store_options.dir = opt_.scratch_dir + "/store_segments";
+    store_options.dir = scratch.path() + "/store_segments";
     // Unlimited budget on purpose: evictions happen on the driver's fixed
     // cadence below, never on a timing-dependent byte threshold, so the
     // store fault-hit sequence replays bit-identically from the options.
@@ -218,8 +259,8 @@ ScenarioResult ScenarioRunner::Run() {
   std::uint64_t anomaly_cycle = 0;
   bool have_good_checkpoint = false;
   const std::string ckpt_path =
-      opt_.scratch_dir.empty() ? std::string()
-                               : opt_.scratch_dir + "/chaos_scenario.ckpt";
+      scratch.path().empty() ? std::string()
+                             : scratch.path() + "/chaos_scenario.ckpt";
 
   auto record = [&](const char* op, int sensor, const Status& status) {
     digest.MixStr(op);
@@ -385,8 +426,8 @@ ScenarioResult ScenarioRunner::Run() {
               (*snapshots_or)[s], &result.violations, arena_mode);
           healthy.push_back(std::move((*snapshots_or)[s]));
         }
-        if (!opt_.scratch_dir.empty() && !healthy.empty()) {
-          InvariantChecker::CheckCheckpointRoundTrip(healthy, opt_.scratch_dir,
+        if (!scratch.path().empty() && !healthy.empty()) {
+          InvariantChecker::CheckCheckpointRoundTrip(healthy, scratch.path(),
                                                      &result.violations);
         }
         if (tiered_store != nullptr) {

@@ -168,7 +168,10 @@ Status TaskGraph::Run(ThreadPool* pool) {
     std::lock_guard<std::mutex> lock(mu_);
     pool_ = pool != nullptr ? pool : &ThreadPool::Default();
     // The caller thread is drainer #0; helpers top out at the pool size.
-    max_helpers_ = static_cast<int>(pool_->size());
+    // A caller that runs inline (a serve shard) enlists none: the graph
+    // then runs on that thread alone.
+    max_helpers_ =
+        ThreadPool::RunsInline() ? 0 : static_cast<int>(pool_->size());
     for (NodeId id = 0; id < nodes_.size(); ++id) {
       nodes_[id]->pending_deps = nodes_[id]->num_deps;
     }

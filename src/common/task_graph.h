@@ -24,8 +24,9 @@ namespace smiler {
 /// forecast, rehydrate IO, ...), edges are happens-before dependencies.
 /// `Run` executes every node exactly once in some topological order:
 /// the calling thread and a work-stealing-style set of pool helpers
-/// drain a shared ready queue, so independent chains (different sensors
-/// of a serve micro-batch) overlap while each chain stays sequential.
+/// drain a shared ready queue, so independent chains overlap while each
+/// chain stays sequential. A caller that runs inline (a serve shard)
+/// drains the queue alone.
 ///
 /// Error containment mirrors the serve layer's per-sensor Status
 /// isolation: a node returning a non-OK Status *poisons* its transitive
@@ -80,9 +81,12 @@ class TaskGraph {
   std::shared_future<Status> Future(NodeId id) const;
 
   /// Executes the graph to completion over \p pool (default: the process
-  /// pool). Returns kInvalidArgument without executing anything when the
-  /// edges contain a cycle (every future carries that error), and
-  /// otherwise the first (lowest-node-id) non-OK node Status, or OK.
+  /// pool). On a thread that runs inline (ThreadPool::RunsInline: a serve
+  /// shard or a pool worker) no helpers are enlisted and the caller
+  /// drains every node itself. Returns kInvalidArgument without
+  /// executing anything when the edges contain a cycle (every future
+  /// carries that error), and otherwise the first (lowest-node-id) non-OK
+  /// node Status, or OK.
   /// Run may be called at most once per graph.
   Status Run(ThreadPool* pool = nullptr);
 

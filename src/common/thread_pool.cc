@@ -31,14 +31,13 @@ ThreadPool::~ThreadPool() {
 }
 
 namespace {
-thread_local bool t_in_worker = false;
+thread_local bool t_runs_inline = false;
 
 // Level gauge of queued-but-unclaimed tasks, maintained with atomic
 // deltas from every enqueue/dequeue site (Submit, ParallelFor helpers,
 // WorkerLoop pops) so it stays truthful between ParallelFor calls — the
 // old Set(tasks_.size()) in ParallelFor alone left Submit traffic
-// invisible and the value stale once the helpers drained. The serve
-// layer's adaptive batcher reads this as its congestion signal.
+// invisible and the value stale once the helpers drained.
 obs::Gauge& QueueDepthGauge() {
   static obs::Gauge& g =
       obs::Registry::Global().GetGauge("threadpool.queue_depth");
@@ -55,10 +54,12 @@ obs::Gauge& QueueHighWaterGauge() {
 
 }  // namespace
 
-bool ThreadPool::InWorker() { return t_in_worker; }
+bool ThreadPool::RunsInline() { return t_runs_inline; }
+
+void ThreadPool::MarkRunsInline() { t_runs_inline = true; }
 
 void ThreadPool::WorkerLoop(std::size_t worker_index) {
-  t_in_worker = true;
+  t_runs_inline = true;
   // Self-register with the trace collector so pool workers appear (with a
   // name) in exported traces even when spawned after tracing startup.
   obs::Tracer::Global().RegisterCurrentThread(
@@ -134,7 +135,7 @@ void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   const std::size_t num_workers = workers_.size();
-  if (n == 1 || num_workers <= 1 || InWorker()) {
+  if (n == 1 || num_workers <= 1 || RunsInline()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }

@@ -17,6 +17,12 @@ namespace smiler {
 /// Used by the simulated GPU device (`simgpu::Device`) to distribute thread
 /// blocks over CPU cores, and by the benchmark harness for multi-sensor
 /// fan-out. Tasks must not throw; exceptions escaping a task terminate.
+///
+/// One level of parallelism: a thread flagged as running inline (every
+/// pool worker, and each serve shard worker via MarkRunsInline) executes
+/// ParallelFor in place and enlists no helpers, so work started on a
+/// shard never queues behind, or competes with, another shard's work on
+/// the pool. The pool serves work started on a caller's own thread.
 class ThreadPool {
  public:
   /// Creates a pool with \p num_threads workers (0 = hardware concurrency).
@@ -31,7 +37,8 @@ class ThreadPool {
 
   /// Runs `fn(i)` for every i in [0, n), distributing chunks over workers,
   /// and blocks until all iterations completed. Safe to call with n == 0.
-  /// Must not be called re-entrantly from inside a pool task.
+  /// On a thread that runs inline (RunsInline) every iteration runs on the
+  /// calling thread, in index order.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Fire-and-forget task submission (serve-layer background work:
@@ -46,10 +53,16 @@ class ThreadPool {
   /// Returns the process-wide default pool (hardware concurrency workers).
   static ThreadPool& Default();
 
-  /// True when the calling thread is a pool worker. Callers use this to
-  /// avoid re-entrant ParallelFor (which would deadlock) by degrading to
-  /// sequential execution.
-  static bool InWorker();
+  /// True when the calling thread runs engine work inline: a pool worker
+  /// (a re-entrant fan-out would deadlock) or a thread that called
+  /// MarkRunsInline. ParallelFor then runs in place, and the parallel
+  /// consumers (simgpu::NativeContext::parallelism, TaskGraph::Run) size
+  /// themselves to this one thread.
+  static bool RunsInline();
+
+  /// Flags the calling thread as running inline for the rest of its life.
+  /// Serve shard workers call this: shards are the server's parallelism.
+  static void MarkRunsInline();
 
  private:
   void WorkerLoop(std::size_t worker_index);

@@ -92,6 +92,18 @@ std::vector<Neighbor> KSelectSmallest(std::vector<Neighbor> candidates,
   std::vector<Neighbor> out;
   if (k <= 0) return out;
   out.reserve(std::min<std::size_t>(candidates.size(), k));
+  // Fast path: one +inf (an abandoned or late-pruned candidate) makes the
+  // histogram range degenerate and SelectRecursive fall back to a full
+  // sort. When at least k distances are below +inf, the k smallest are
+  // among them, so drop the +inf (and NaN) ones up front. Selection keys
+  // on (dist, t), so the reordering does not change the result.
+  const auto below_inf_end = std::partition(
+      candidates.begin(), candidates.end(), [](const Neighbor& n) {
+        return n.dist < std::numeric_limits<double>::infinity();
+      });
+  if (below_inf_end - candidates.begin() >= k) {
+    candidates.erase(below_inf_end, candidates.end());
+  }
   SelectRecursive(candidates, k, &out);
   return out;
 }

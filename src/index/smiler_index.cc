@@ -542,13 +542,27 @@ Status SmilerIndex::SearchItem(std::size_t item, const LowerBoundTable& table,
       seeds.push_back(Neighbor{nb.t, 0.0});
     }
   }
-  // Verify seed distances exactly.
+  // Verify seed distances exactly, kDtwBatchLanes at a time. With a kInf
+  // cutoff nothing abandons, and each lane is bitwise the scalar
+  // CompressedDtw; the remainder takes the scalar kernel.
   {
     obs::StageScope seed_verify(obs::Stage::kDtwVerify);
-    std::vector<double> scratch(dtw::CompressedDtwScratchSize(cfg_.rho));
-    for (Neighbor& s : seeds) {
-      s.dist = dtw::CompressedDtw(q, series_.data() + s.t, d, cfg_.rho,
-                                  scratch.data());
+    constexpr std::size_t kB = dtw::kDtwBatchLanes;
+    std::vector<double> scratch(dtw::CompressedDtwBatchScratchSize(cfg_.rho));
+    std::size_t i = 0;
+    for (; i + kB <= seeds.size(); i += kB) {
+      const double* lane_c[kB];
+      double dist[kB];
+      for (std::size_t l = 0; l < kB; ++l) {
+        lane_c[l] = series_.data() + seeds[i + l].t;
+      }
+      dtw::CompressedDtwEarlyAbandonBatch(q, lane_c, d, cfg_.rho, kInf, dist,
+                                          scratch.data());
+      for (std::size_t l = 0; l < kB; ++l) seeds[i + l].dist = dist[l];
+    }
+    for (; i < seeds.size(); ++i) {
+      seeds[i].dist = dtw::CompressedDtw(q, series_.data() + seeds[i].t, d,
+                                         cfg_.rho, scratch.data());
     }
   }
   double tau = kInf;
@@ -659,9 +673,11 @@ Status SmilerIndex::SearchItem(std::size_t item, const LowerBoundTable& table,
           }
         };
     // Native body: the same filter-and-verify cascade as straight-line
-    // batched loops. Candidates are walked in a handful of coarse strips
-    // (each with its own seed-initialized top-k heap, publishing into the
-    // shared tau exactly like a grid block) and verified four at a time
+    // batched loops. Candidates are walked in parallelism() interleaved
+    // strips — one strip, in ascending lower-bound order, on a thread
+    // that runs inline (a serve shard) — each with its own
+    // seed-initialized top-k heap, publishing into the shared tau exactly
+    // like a grid block, and verified four at a time
     // through the lane-batched DTW kernel — per lane the arithmetic is
     // bitwise the scalar kernel's, and the tau-monotonicity invariant
     // makes the final kNN identical under any strip/batch decomposition.

@@ -1,6 +1,7 @@
 #ifndef SMILER_SERVE_SERVER_H_
 #define SMILER_SERVE_SERVER_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -39,26 +40,28 @@ inline constexpr Deadline kNoDeadline = Deadline::max();
 
 /// \brief Sizing of a PredictionServer.
 struct ServerOptions {
-  /// Worker shards. Each shard is single-threaded over the engines it
-  /// owns (sensors assigned round-robin), so engine code stays lock-free.
-  int num_shards = 2;
+  /// Worker shards (default: one per core; clamped to the sensor count).
+  /// Each shard is single-threaded over the engines it owns (sensors
+  /// assigned round-robin), so engine code stays lock-free, and runs that
+  /// engine work inline (ThreadPool::MarkRunsInline): shards are the
+  /// server's only parallelism.
+  int num_shards =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   /// Bounded per-shard admission budget, enforced across every producer
   /// lane of the shard. Enqueueing into a full shard is rejected
   /// immediately with kResourceExhausted (admission control) — the
   /// server sheds load instead of buffering unboundedly or blocking.
   std::size_t queue_capacity = 256;
-  /// Micro-batching: when a shard drains a batch, Predict requests for
-  /// a sensor whose engine state has not changed since the batch's
-  /// previous Predict of that sensor share one engine pass (one set of
-  /// simgpu launches serves every co-resident client).
+  /// Coalescing: a Predict for a sensor whose engine state has not
+  /// changed since its previous OK Predict (no Observe in between, in
+  /// this batch or an earlier one) is answered with that Predict's
+  /// response instead of a second engine pass.
   bool coalesce_predicts = true;
   /// Execute multi-sensor Predict segments as a dataflow task graph
-  /// (TaskGraph over the process pool): per-sensor stage chains
+  /// (TaskGraph, drained on the shard thread): per-sensor stage chains
   /// rehydrate -> lb_filter -> dtw_verify -> cholesky -> forecast, with
   /// the cross-sensor fused Gram launch as a join node between verify and
-  /// cholesky, so one sensor's DTW verify overlaps another's lower
-  /// bounds and tiered-store rehydration IO overlaps warm sensors'
-  /// compute. Predictions are bitwise-identical to the phase-barrier
+  /// cholesky. Predictions are bitwise-identical to the phase-barrier
   /// path (task_graph_equivalence_test pins that); disable to fall back
   /// to barriered phases (the bench's comparison baseline).
   bool use_task_graph = true;
@@ -85,7 +88,9 @@ struct Response {
 /// the observed backlog, and executes each multi-sensor Predict segment
 /// as one fleet-wide dataflow task graph (per-sensor stage chains with
 /// the fused cross-sensor `gp.gram_batch` device launch as a join node;
-/// see ServerOptions::use_task_graph). Admission
+/// see ServerOptions::use_task_graph). All engine work of a shard runs
+/// inline on its worker thread — shards, one per core by default, are
+/// the server's only level of parallelism. Admission
 /// control rejects when the shard is full; expired deadlines are shed at
 /// dequeue time, before any search work is paid for. `Snapshot` barriers
 /// travel on a separate control-plane queue (exempt from data-plane
@@ -201,6 +206,10 @@ class PredictionServer {
   /// back to the mutex-guarded overflow deque (correctness path only).
   static constexpr int kMaxLanes = 32;
 
+  /// Sensor -> response of its last OK Predict, valid while the engine
+  /// state is unchanged.
+  using PredictCache = std::unordered_map<std::size_t, Response>;
+
   struct Shard {
     int index = 0;
     std::vector<std::size_t> sensors;  ///< engine indices owned
@@ -241,6 +250,9 @@ class PredictionServer {
 
     /// Adaptive micro-batch size (worker-owned; see UpdateBatchTarget).
     std::size_t batch_target = 1;
+    /// Coalescing cache (worker-owned; empty unless coalesce_predicts).
+    /// Outlives micro-batches: an Observe for the sensor erases its entry.
+    PredictCache predict_cache;
 
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* batch_target_gauge = nullptr;
@@ -253,8 +265,6 @@ class PredictionServer {
       for (auto& lane : lanes) delete lane.load(std::memory_order_relaxed);
     }
   };
-
-  using PredictCache = std::unordered_map<std::size_t, Response>;
 
   PredictionServer(core::MultiSensorManager manager,
                    const ServerOptions& options);
@@ -285,7 +295,7 @@ class PredictionServer {
   /// lazy pins are merged back into both.
   std::size_t ExecutePredictSegment(
       Shard* shard, std::vector<Request>* batch, std::size_t begin,
-      std::int64_t claim_us, PredictCache* cache, std::size_t* sheds,
+      std::int64_t claim_us, std::size_t* sheds,
       store::TieredStateStore* store, std::vector<std::size_t>* pinned,
       std::unordered_map<std::size_t, Status>* pin_failed);
   /// Runs the engine passes for \p sensors into \p results, pinning any

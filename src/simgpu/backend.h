@@ -51,9 +51,9 @@ Result<BackendKind> BackendKindFromEnv();
 /// A native kernel owns the full iteration space of its launch and is free
 /// to batch, tile, and vectorize across what the grid backend treats as
 /// block boundaries. ParallelFor distributes coarse strips over the same
-/// device pool grid launches use (and degrades to inline execution when
-/// nested inside a pool worker, exactly like a grid launch), so the
-/// deadlock-freedom story is unchanged.
+/// device pool grid launches use, and runs in place on a thread that runs
+/// inline (a pool worker or a serve shard, ThreadPool::RunsInline),
+/// exactly like a grid launch.
 class NativeContext {
  public:
   NativeContext(ThreadPool* pool, int grid_dim, int block_dim)
@@ -65,8 +65,11 @@ class NativeContext {
   int block_dim() const { return block_dim_; }
 
   /// Upper bound on useful concurrent strips: the device pool's workers
-  /// plus the calling thread (ParallelFor callers participate).
-  std::size_t parallelism() const { return pool_->size() + 1; }
+  /// plus the calling thread (ParallelFor callers participate), or 1 on a
+  /// thread that runs inline, where ParallelFor never fans out.
+  std::size_t parallelism() const {
+    return ThreadPool::RunsInline() ? 1 : pool_->size() + 1;
+  }
 
   /// Runs fn(i) for every i in [0, n) over the device pool.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <limits>
 #include <string>
@@ -299,7 +301,8 @@ TEST_F(ChaosTest, StoreResidencyCheckTracksEvictAndRehydrate) {
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
 
   store::StoreOptions options;
-  options.dir = testing::TempDir() + "/chaos_store_residency";
+  options.dir = testing::TempDir() + "/chaos_store_residency_" +
+                std::to_string(::getpid());
   options.budget_bytes = std::numeric_limits<std::size_t>::max();
   auto store_or = store::TieredStateStore::Create(options);
   ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();

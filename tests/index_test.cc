@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -184,6 +185,59 @@ TEST(KSelectTest, InfinityDistancesHandled) {
   EXPECT_EQ(got[0].t, 1);
   EXPECT_EQ(got[1].t, 2);
   EXPECT_EQ(got[2].t, 4);
+}
+
+TEST(KSelectTest, MixedInfinitiesMatchFullSort) {
+  // The +inf drop path (at least k distances below +inf) and the
+  // full-input path (fewer than k) must both equal a full sort; -inf is
+  // an ordinary (smallest) distance and is never dropped.
+  constexpr double kPosInf = std::numeric_limits<double>::infinity();
+  auto full_sort = [](std::vector<Neighbor> v, int k) {
+    std::sort(v.begin(), v.end(), [](const Neighbor& a, const Neighbor& b) {
+      if (a.dist != b.dist) return a.dist < b.dist;
+      return a.t < b.t;
+    });
+    v.resize(std::min<std::size_t>(v.size(), k));
+    return v;
+  };
+  Rng rng(41);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 1 + static_cast<int>(rng.UniformInt(3000));
+    const int k = 1 + static_cast<int>(rng.UniformInt(64));
+    // Share of +inf: none, some, most, all — so both sides of the
+    // k-finite threshold are hit.
+    const double inf_share = (trial % 4) / 3.0;
+    std::vector<Neighbor> cands(n);
+    for (int i = 0; i < n; ++i) {
+      double dist = rng.Uniform() * 50.0;
+      if (rng.Uniform() < inf_share) dist = kPosInf;
+      if (trial % 5 == 0 && i % 97 == 0) dist = -kPosInf;
+      cands[i] = Neighbor{n - i, dist};
+    }
+    const std::vector<Neighbor> want = full_sort(cands, k);
+    const std::vector<Neighbor> got = KSelectSmallest(cands, k);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].t, want[i].t) << "trial " << trial << " rank " << i;
+      EXPECT_EQ(got[i].dist, want[i].dist) << "trial " << trial;
+    }
+  }
+  // Fewer than k distances below +inf: the +inf ones fill the tail,
+  // tie-broken by t.
+  std::vector<Neighbor> sparse;
+  for (int i = 0; i < 20; ++i) {
+    const double dist = i % 4 == 0 ? static_cast<double>(i) : kPosInf;
+    sparse.push_back(Neighbor{i, dist});
+  }
+  const std::vector<Neighbor> got = KSelectSmallest(sparse, 8);
+  const std::vector<Neighbor> want = full_sort(sparse, 8);
+  ASSERT_EQ(got.size(), 8u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].t, want[i].t);
+    EXPECT_EQ(got[i].dist, want[i].dist);
+  }
+  EXPECT_EQ(got[5].t, 1);  // first +inf by t after the 5 finite ones
+  EXPECT_EQ(got[5].dist, kPosInf);
 }
 
 // --------------------------------------------------------- SmilerIndex

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -373,7 +375,8 @@ TEST_F(RequestTraceTest, TieredStoreRehydrateIsAttributedAndStillTiles) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   store::StoreOptions store_options;
-  store_options.dir = testing::TempDir() + "/request_trace_rehydrate";
+  store_options.dir = testing::TempDir() + "/request_trace_rehydrate_" +
+                      std::to_string(::getpid());
   (void)std::system(("rm -rf '" + store_options.dir + "'").c_str());
   store_options.budget_bytes = 1;  // everything spills at every batch end
   auto store_or = store::TieredStateStore::Create(store_options);

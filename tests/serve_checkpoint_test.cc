@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -31,7 +33,8 @@ ts::TimeSeries MakeSensor(int points, int seed = 11) {
 }
 
 std::string TempPath(const char* tag) {
-  return testing::TempDir() + "/smiler_ckpt_" + tag + ".bin";
+  return testing::TempDir() + "/smiler_ckpt_" + tag + "_" +
+         std::to_string(::getpid()) + ".bin";
 }
 
 std::string ReadAll(const std::string& path) {

@@ -47,7 +47,8 @@ ts::TimeSeries MakeSensor(int points, int seed = 3) {
 }
 
 std::string TempPath(const char* tag) {
-  return testing::TempDir() + "/smiler_status_" + tag + ".ckpt";
+  return testing::TempDir() + "/smiler_status_" + tag + "_" +
+         std::to_string(::getpid()) + ".ckpt";
 }
 
 std::string ReadAll(const std::string& path) {
@@ -195,7 +196,8 @@ TEST_F(StatusPathsTest, RenameOntoDirectoryFails) {
   ASSERT_TRUE(engine.ok());
   // The final rename target is an existing non-empty directory, so the
   // tmp write succeeds but the atomic publish step fails.
-  const std::string dir = testing::TempDir() + "/smiler_rename_target";
+  const std::string dir = testing::TempDir() + "/smiler_rename_target_" +
+                          std::to_string(::getpid());
   std::remove(dir.c_str());
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
   WriteAll(dir + "/occupant", "x");

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -84,7 +86,8 @@ TEST(CsvTest, WriteReadRoundTrip) {
   std::vector<TimeSeries> series;
   series.emplace_back("alpha", std::vector<double>{1.25, -2.5, 3.75});
   series.emplace_back("beta", std::vector<double>{0.1, 0.2, 0.3});
-  const std::string path = ::testing::TempDir() + "/smiler_io_test.csv";
+  const std::string path = ::testing::TempDir() + "/smiler_io_test_" +
+                           std::to_string(::getpid()) + ".csv";
   ASSERT_TRUE(WriteCsv(path, series).ok());
   auto back = ReadCsv(path);
   ASSERT_TRUE(back.ok());
@@ -168,6 +171,7 @@ TEST(CsvTest, RoundTripPropertyOverAwkwardValues) {
       }
       const std::string path =
           ::testing::TempDir() + "/smiler_io_prop_" +
+          std::to_string(::getpid()) + "_" +
           std::to_string(sensors) + "_" + std::to_string(points) + ".csv";
       ASSERT_TRUE(WriteCsv(path, series).ok());
       auto back = ReadCsv(path);
