@@ -49,7 +49,8 @@ fi
 if [[ "$MODE" == "capacity" ]]; then
   echo "== capacity build (SMILER_ENABLE_CHAOS + ASan+UBSan) =="
   # The tiered-store correctness surface: the evict/rehydrate bitwise
-  # equivalence and budget suites, the quantized-lower-bound property
+  # equivalence and budget suites, the owners-plus-sweeper concurrency
+  # suite (its fault case live here), the quantized-lower-bound property
   # suite, and the chaos scenarios that arm store.spill_write /
   # store.rehydrate_read_short — all under AddressSanitizer, since the
   # store's hot path is mmap'd segment IO and engine teardown/rebuild.
@@ -62,7 +63,7 @@ if [[ "$MODE" == "capacity" ]]; then
     --target store_equivalence_test store_quantize_test chaos_test >/dev/null
   echo "== store equivalence + quantization + chaos under ASan =="
   ctest --test-dir build-capacity-asan \
-    -R 'StoreEquivalenceTest|StoreBudgetTest|StoreQuantizeTest|ChaosTest' \
+    -R 'StoreEquivalenceTest|StoreBudgetTest|StoreConcurrencyTest|StoreQuantizeTest|ChaosTest' \
     --output-on-failure
   echo "== capacity checks passed =="
   exit 0
@@ -159,7 +160,9 @@ echo "== serve soak + SPSC lanes under ThreadSanitizer =="
 # dedicated TSan target for the ring cursors and lane publication.
 # store_equivalence_test rides along for its concurrent-clients-under-
 # tiny-budget case: shard workers pinning/unpinning and the budget sweep
-# racing client threads is exactly the store's racy surface. The task
+# racing client threads is exactly the store's racy surface, and for
+# StoreConcurrencyTest, which races owners and a sweeper over the store's
+# off-lock spill and rehydrate paths with no server in between. The task
 # graph suites join the pass: the executor's ready queue is drained by
 # the caller and pool helpers concurrently, and the equivalence suite's
 # burst traffic drives the fleet-wide graph (shared gram join, rehydrate
@@ -168,7 +171,7 @@ cmake --build build-tsan -j \
   --target serve_soak_test serve_spsc_test store_equivalence_test \
   task_graph_test task_graph_equivalence_test >/dev/null
 ctest --test-dir build-tsan \
-  -R 'ServeSoakTest|SpscRingTest|SpscRingStressTest|SpscLaneTest|StoreEquivalenceTest|TaskGraphTest|TaskGraphPropertyTest|TaskGraphStressTest|LaunchGraphTest|TaskGraphEquivalenceTest' \
+  -R 'ServeSoakTest|SpscRingTest|SpscRingStressTest|SpscLaneTest|StoreEquivalenceTest|StoreConcurrencyTest|TaskGraphTest|TaskGraphPropertyTest|TaskGraphStressTest|LaunchGraphTest|TaskGraphEquivalenceTest' \
   --output-on-failure
 
 echo "== tracing overhead gate (smoke Fig-7 bench, on vs off) =="

@@ -404,7 +404,9 @@ int InvariantChecker::CheckStoreResidency(const std::string& label,
                                           const store::TieredStateStore& store,
                                           std::vector<std::string>* out) {
   Reporter report(label, out);
-  const std::vector<store::TieredStateStore::SlotInfo> slots = store.Inspect();
+  std::size_t ledger = 0;
+  const std::vector<store::TieredStateStore::SlotInfo> slots =
+      store.Inspect(&ledger);
   std::size_t charged = 0;
   for (std::size_t s = 0; s < slots.size(); ++s) {
     const store::TieredStateStore::SlotInfo& info = slots[s];
@@ -429,9 +431,9 @@ int InvariantChecker::CheckStoreResidency(const std::string& label,
     }
     if (info.resident) charged += info.bytes;
   }
-  if (charged != store.resident_bytes()) {
+  if (charged != ledger) {
     report.Violate("store resident-byte ledger " +
-                   Str(static_cast<long>(store.resident_bytes())) +
+                   Str(static_cast<long>(ledger)) +
                    " != per-slot sum " + Str(static_cast<long>(charged)));
   }
   return report.count();

@@ -61,6 +61,18 @@ obs::Histogram& RehydrateSecondsHistogram() {
   return h;
 }
 
+obs::Histogram& SpillSecondsHistogram() {
+  static obs::Histogram& h =
+      obs::Registry::Global().GetHistogram("store.spill_seconds");
+  return h;
+}
+
+obs::Histogram& LockWaitSecondsHistogram() {
+  static obs::Histogram& h =
+      obs::Registry::Global().GetHistogram("store.lock_wait_seconds");
+  return h;
+}
+
 /// What a resident engine costs against the budget: its index footprint
 /// (series, envelopes, posting-list arena) — the same accounting that
 /// powers the Fig 12(c) capacity study.
@@ -132,6 +144,9 @@ Result<std::unique_ptr<TieredStateStore>> TieredStateStore::Create(
       budget == std::numeric_limits<std::size_t>::max()
           ? 0.0  // unlimited renders as 0 (no budget) in the exposition
           : static_cast<double>(budget));
+  // Registered up front, so a store that never waited exposes a zero
+  // count instead of no metric at all.
+  LockWaitSecondsHistogram();
   return store;
 }
 
@@ -141,7 +156,7 @@ Status TieredStateStore::Bind(core::MultiSensorManager* manager,
   if (manager == nullptr || device == nullptr) {
     return Status::InvalidArgument("store needs a manager and a device");
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = Lock();
   if (manager_ != nullptr) {
     return Status::FailedPrecondition("store is already bound to a fleet");
   }
@@ -161,6 +176,19 @@ Status TieredStateStore::Bind(core::MultiSensorManager* manager,
   }
   PublishGaugesLocked();
   return Status::OK();
+}
+
+std::unique_lock<std::mutex> TieredStateStore::Lock() const {
+  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+  Acquire(&lock);
+  return lock;
+}
+
+void TieredStateStore::Acquire(std::unique_lock<std::mutex>* lock) const {
+  if (lock->try_lock()) return;
+  WallTimer timer;
+  lock->lock();
+  LockWaitSecondsHistogram().Observe(timer.ElapsedSeconds());
 }
 
 std::string TieredStateStore::SegmentPath(std::size_t sensor) const {
@@ -184,11 +212,12 @@ void TieredStateStore::PublishGaugesLocked() {
 }
 
 Status TieredStateStore::Pin(std::size_t sensor) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = Lock();
   SMILER_RETURN_NOT_OK(CheckUsableLocked(sensor));
   Slot& slot = slots_[sensor];
+  busy_cv_.wait(lock, [&slot] { return !slot.busy; });
   if (!slot.resident) {
-    SMILER_RETURN_NOT_OK(RehydrateLocked(sensor));
+    SMILER_RETURN_NOT_OK(Rehydrate(&lock, sensor));
   }
   ++slot.pins;
   slot.ref = true;
@@ -196,24 +225,61 @@ Status TieredStateStore::Pin(std::size_t sensor) {
 }
 
 void TieredStateStore::Unpin(std::size_t sensor) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = Lock();
   if (sensor < slots_.size() && slots_[sensor].pins > 0) {
     --slots_[sensor].pins;
   }
 }
 
 Status TieredStateStore::Evict(std::size_t sensor) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<core::SensorEngine> dropped;  // outlives the lock below
+  std::unique_lock<std::mutex> lock = Lock();
   SMILER_RETURN_NOT_OK(CheckUsableLocked(sensor));
-  if (!slots_[sensor].resident) return Status::OK();
-  return EvictLocked(sensor);
-}
-
-Status TieredStateStore::EvictLocked(std::size_t sensor) {
   Slot& slot = slots_[sensor];
+  busy_cv_.wait(lock, [&slot] { return !slot.busy; });
+  if (!slot.resident) return Status::OK();
   if (slot.pins > 0) {
     return Status::FailedPrecondition("sensor is pinned");
   }
+  slot.busy = true;
+  evicting_bytes_ += slot.bytes;
+  return Spill(&lock, {sensor}, &dropped)[0];
+}
+
+std::vector<Status> TieredStateStore::Spill(
+    std::unique_lock<std::mutex>* lock, const std::vector<std::size_t>& victims,
+    std::vector<core::SensorEngine>* dropped) {
+  // One victim at a time, so a spilling thread holds at most one
+  // snapshot and one encoded blob; both are freed before the relock.
+  lock->unlock();
+  std::vector<Status> written;
+  written.reserve(victims.size());
+  for (std::size_t victim : victims) written.push_back(WriteSegment(victim));
+  Acquire(lock);
+  for (std::size_t i = 0; i < victims.size(); ++i) {
+    Slot& slot = slots_[victims[i]];
+    slot.busy = false;
+    evicting_bytes_ -= slot.bytes;
+    if (!written[i].ok()) continue;
+    Result<core::SensorEngine> engine = manager_->Release(victims[i]);
+    if (!engine.ok()) {
+      written[i] = engine.status();
+      continue;
+    }
+    dropped->push_back(std::move(*engine));
+    slot.resident = false;
+    slot.has_segment = true;
+    slot.ref = false;
+    resident_bytes_ -= slot.bytes;
+    EvictionsCounter().Increment();
+  }
+  PublishGaugesLocked();
+  busy_cv_.notify_all();
+  return written;
+}
+
+Status TieredStateStore::WriteSegment(std::size_t sensor) const {
+  WallTimer timer;
   const std::string blob = core::SerializeSnapshotBlob(
       {manager_->engine(sensor).Snapshot()},
       core::ArenaEncoding::kQuantized16);
@@ -248,46 +314,44 @@ Status TieredStateStore::EvictLocked(std::size_t sensor) {
     EvictFailuresCounter().Increment();
     return Status::Internal("rename '" + tmp + "' -> '" + path + "' failed");
   }
-
-  SMILER_ASSIGN_OR_RETURN(core::SensorEngine engine,
-                          manager_->Release(sensor));
-  (void)engine;  // dropped here: the cold tier now owns the state
-  slot.resident = false;
-  slot.has_segment = true;
-  slot.ref = false;
-  resident_bytes_ -= slot.bytes;
-  EvictionsCounter().Increment();
-  PublishGaugesLocked();
+  SpillSecondsHistogram().Observe(timer.ElapsedSeconds());
   return Status::OK();
 }
 
-Status TieredStateStore::RehydrateLocked(std::size_t sensor) {
+Status TieredStateStore::Rehydrate(std::unique_lock<std::mutex>* lock,
+                                   std::size_t sensor) {
   Slot& slot = slots_[sensor];
+  slot.busy = true;
+  lock->unlock();
   WallTimer timer;
-  SMILER_ASSIGN_OR_RETURN(std::vector<core::EngineSnapshot> snaps,
-                          ReadSegmentLocked(sensor, /*inject_fault=*/true));
-  if (snaps.size() != 1) {
-    return Status::InvalidArgument("spill segment for sensor " +
-                                   std::to_string(sensor) +
-                                   " does not hold exactly one engine");
+  Result<core::SensorEngine> engine = [&]() -> Result<core::SensorEngine> {
+    SMILER_ASSIGN_OR_RETURN(core::EngineSnapshot snap,
+                            ReadSegment(sensor, /*inject_fault=*/true));
+    return core::SensorEngine::Restore(device_, snap);
+  }();
+  std::size_t bytes = 0;
+  if (engine.ok()) {
+    bytes = EngineFootprintBytes(*engine);
+    // The segment is stale the moment the engine observes again; drop it
+    // so a later eviction can never resurrect old state.
+    std::remove(SegmentPath(sensor).c_str());
+    RehydrateSecondsHistogram().Observe(timer.ElapsedSeconds());
   }
-  SMILER_ASSIGN_OR_RETURN(core::SensorEngine engine,
-                          core::SensorEngine::Restore(device_, snaps[0]));
-  slot.bytes = EngineFootprintBytes(engine);
-  SMILER_RETURN_NOT_OK(manager_->Install(sensor, std::move(engine)));
+  Acquire(lock);
+  slot.busy = false;
+  busy_cv_.notify_all();
+  SMILER_RETURN_NOT_OK(engine.status());
+  SMILER_RETURN_NOT_OK(manager_->Install(sensor, std::move(*engine)));
   slot.resident = true;
   slot.has_segment = false;
-  // The segment is stale the moment the engine observes again; drop it
-  // so a later eviction can never resurrect old state.
-  std::remove(SegmentPath(sensor).c_str());
-  resident_bytes_ += slot.bytes;
+  slot.bytes = bytes;
+  resident_bytes_ += bytes;
   RehydrationsCounter().Increment();
-  RehydrateSecondsHistogram().Observe(timer.ElapsedSeconds());
   PublishGaugesLocked();
   return Status::OK();
 }
 
-Result<std::vector<core::EngineSnapshot>> TieredStateStore::ReadSegmentLocked(
+Result<core::EngineSnapshot> TieredStateStore::ReadSegment(
     std::size_t sensor, bool inject_fault) const {
   const std::string path = SegmentPath(sensor);
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -319,11 +383,18 @@ Result<std::vector<core::EngineSnapshot>> TieredStateStore::ReadSegmentLocked(
   auto parsed = core::ParseSnapshotBlob(static_cast<const char*>(map),
                                         parse_size, path);
   ::munmap(map, size);
-  return parsed;
+  SMILER_RETURN_NOT_OK(parsed.status());
+  if (parsed->size() != 1) {
+    return Status::InvalidArgument("spill segment for sensor " +
+                                   std::to_string(sensor) +
+                                   " does not hold exactly one engine");
+  }
+  return std::move((*parsed)[0]);
 }
 
 Status TieredStateStore::EnforceBudget() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<core::SensorEngine> dropped;  // outlives the lock below
+  std::unique_lock<std::mutex> lock = Lock();
   SMILER_RETURN_NOT_OK(env_status_);
   if (manager_ == nullptr) {
     return Status::FailedPrecondition("store is not bound to a fleet");
@@ -333,22 +404,34 @@ Status TieredStateStore::EnforceBudget() {
   // bit cleared on the first pass and is only evicted when seen again.
   // Two full revolutions bound the scan; a failed spill marks the slot
   // referenced so the sweep moves on instead of retrying it forever.
+  // Bytes already being spilled (here or by another caller) count as
+  // gone, and busy slots are skipped.
   std::size_t scanned = 0;
   const std::size_t scan_limit = 2 * slots_.size();
-  while (resident_bytes_ > budget_ && scanned < scan_limit) {
-    Slot& slot = slots_[clock_hand_];
-    const std::size_t victim = clock_hand_;
-    clock_hand_ = (clock_hand_ + 1) % slots_.size();
-    ++scanned;
-    if (!slot.resident || slot.pins > 0) continue;
-    if (slot.ref) {
-      slot.ref = false;
-      continue;
+  std::vector<std::size_t> victims;
+  for (;;) {
+    victims.clear();
+    while (resident_bytes_ - evicting_bytes_ > budget_ &&
+           scanned < scan_limit) {
+      Slot& slot = slots_[clock_hand_];
+      const std::size_t victim = clock_hand_;
+      clock_hand_ = (clock_hand_ + 1) % slots_.size();
+      ++scanned;
+      if (!slot.resident || slot.pins > 0 || slot.busy) continue;
+      if (slot.ref) {
+        slot.ref = false;
+        continue;
+      }
+      slot.busy = true;
+      evicting_bytes_ += slot.bytes;
+      victims.push_back(victim);
     }
-    const Status st = EvictLocked(victim);
-    if (!st.ok()) {
-      if (first_error.ok()) first_error = st;
-      slot.ref = true;
+    if (victims.empty()) break;
+    const std::vector<Status> written = Spill(&lock, victims, &dropped);
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+      if (written[i].ok()) continue;
+      if (first_error.ok()) first_error = written[i];
+      slots_[victims[i]].ref = true;
     }
   }
   return first_error;
@@ -356,42 +439,49 @@ Status TieredStateStore::EnforceBudget() {
 
 Result<core::EngineSnapshot> TieredStateStore::StableSnapshot(
     std::size_t sensor) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = Lock();
   SMILER_RETURN_NOT_OK(CheckUsableLocked(sensor));
-  if (slots_[sensor].resident) {
-    return manager_->engine(sensor).Snapshot();
+  Slot& slot = slots_[sensor];
+  busy_cv_.wait(lock, [&slot] { return !slot.busy; });
+  if (slot.pins > 0) {
+    return Status::FailedPrecondition("sensor is pinned");
   }
+  const bool resident = slot.resident;
+  slot.busy = true;
+  lock.unlock();
   // Snapshot barriers read the cold tier without the rehydrate fault
   // point: segments are only ever published complete (a torn spill never
   // renames), so a checkpoint of a partly-cold fleet stays dependable
   // even mid fault-storm.
-  SMILER_ASSIGN_OR_RETURN(std::vector<core::EngineSnapshot> snaps,
-                          ReadSegmentLocked(sensor, /*inject_fault=*/false));
-  if (snaps.size() != 1) {
-    return Status::InvalidArgument("spill segment for sensor " +
-                                   std::to_string(sensor) +
-                                   " does not hold exactly one engine");
-  }
-  return std::move(snaps[0]);
+  Result<core::EngineSnapshot> snap =
+      resident ? Result<core::EngineSnapshot>(
+                     manager_->engine(sensor).Snapshot())
+               : ReadSegment(sensor, /*inject_fault=*/false);
+  Acquire(&lock);
+  slot.busy = false;
+  busy_cv_.notify_all();
+  return snap;
 }
 
 bool TieredStateStore::resident(std::size_t sensor) const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = Lock();
   return sensor < slots_.size() && slots_[sensor].resident;
 }
 
 std::size_t TieredStateStore::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = Lock();
   return resident_bytes_;
 }
 
 std::size_t TieredStateStore::num_sensors() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock = Lock();
   return slots_.size();
 }
 
-std::vector<TieredStateStore::SlotInfo> TieredStateStore::Inspect() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::vector<TieredStateStore::SlotInfo> TieredStateStore::Inspect(
+    std::size_t* resident_bytes) const {
+  std::unique_lock<std::mutex> lock = Lock();
+  if (resident_bytes != nullptr) *resident_bytes = resident_bytes_;
   std::vector<SlotInfo> out(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     out[i].resident = slots_[i].resident;

@@ -10,18 +10,27 @@
 // clock eviction policy. The concurrent section drives a sharded
 // PredictionServer through a 1-byte budget (every batch rehydrates and
 // re-spills) from one client thread per sensor — the TSan gate runs it.
+// StoreConcurrencyTest drives the store itself, with no server: owner
+// threads and a sweeper race Pin, EnforceBudget, Evict and StableSnapshot
+// over the off-lock spill and rehydrate paths, with and without the store
+// fault points armed.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chaos/fault.h"
+#include "chaos/invariants.h"
 #include "common/config.h"
 #include "core/engine.h"
 #include "core/manager.h"
+#include "obs/metrics.h"
 #include "serve/server.h"
 #include "simgpu/device.h"
 #include "store/tiered_store.h"
@@ -369,6 +378,236 @@ TEST(StoreEquivalenceTest, ConcurrentServeTrafficUnderTinyBudgetStaysExact) {
   // The thrash actually happened: with a 1-byte budget nothing stays
   // resident across batch boundaries.
   EXPECT_EQ(store->resident_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The store alone under concurrent owners (the TSan/ASan target for the
+// off-lock spill and rehydrate paths).
+
+class StoreConcurrencyTest : public ::testing::Test {
+ protected:
+  static constexpr int kOwners = 4;
+  static constexpr int kSensorsPerOwner = 2;
+  static constexpr int kSensors = kOwners * kSensorsPerOwner;
+  static constexpr int kSteps = 16;
+
+  void TearDown() override { chaos::FaultRegistry::Global().Disarm(); }
+
+  static void Arm(std::map<std::string, chaos::FaultSpec> points) {
+    chaos::FaultSchedule schedule;
+    schedule.seed = 13;
+    schedule.points = std::move(points);
+    chaos::FaultRegistry::Global().Configure(std::move(schedule));
+  }
+
+  /// Four owner threads on disjoint sensors loop Pin -> Predict/Observe
+  /// -> Unpin -> EnforceBudget under a budget of about two engines, while
+  /// a sweeper runs EnforceBudget, Evict, StableSnapshot and the residency
+  /// check over every sensor. With \p faults, a Pin may fail: the sensor
+  /// must then read COLD, and the owner retries. Every prediction, and a
+  /// final quiescent one per sensor, must equal a serial no-store control
+  /// bit for bit.
+  void RunTraffic(const std::string& dir_name, bool faults) {
+    Fleet fleet = MakeFleet(kSensors, 96, kSteps, 31);
+
+    // Serial control: kSteps Predict/Observe rounds plus one last Predict.
+    std::vector<std::vector<predictors::Prediction>> want(kSensors);
+    {
+      simgpu::Device device;
+      auto control = core::MultiSensorManager::Create(
+          &device, fleet.histories, SmallConfig(), core::PredictorKind::kAr);
+      ASSERT_TRUE(control.ok());
+      for (int s = 0; s < kSensors; ++s) {
+        for (int step = 0; step <= kSteps; ++step) {
+          auto pred = control->engine(s).Predict();
+          ASSERT_TRUE(pred.ok());
+          want[s].push_back(*pred);
+          if (step < kSteps) {
+            ASSERT_TRUE(
+                control->engine(s).Observe(fleet.streams[s][step]).ok());
+          }
+        }
+      }
+    }
+
+    simgpu::Device device;
+    auto manager = core::MultiSensorManager::Create(
+        &device, fleet.histories, SmallConfig(), core::PredictorKind::kAr);
+    ASSERT_TRUE(manager.ok());
+    std::size_t fleet_bytes = 0;
+    for (int s = 0; s < kSensors; ++s) {
+      fleet_bytes += manager->engine(s).index().MemoryFootprintBytes();
+    }
+    store::StoreOptions options;
+    options.dir = FreshDir(dir_name);
+    options.budget_bytes = 2 * fleet_bytes / kSensors;
+    auto store_or = store::TieredStateStore::Create(options);
+    ASSERT_TRUE(store_or.ok());
+    store::TieredStateStore& store = **store_or;
+    ASSERT_TRUE(store.Bind(&*manager, &device).ok());
+
+    auto same = [](const predictors::Prediction& a,
+                   const predictors::Prediction& b) {
+      return a.mean == b.mean && a.variance == b.variance;
+    };
+    // A failed Pin leaves the sensor COLD (only its owner ever makes it
+    // resident again), and a retry succeeds once the fault stream moves
+    // on.
+    auto pin = [&](int s, std::string* failure, int* failed_pins) {
+      for (int attempt = 0; attempt < 1000; ++attempt) {
+        const Status st = store.Pin(s);
+        if (st.ok()) return true;
+        ++*failed_pins;
+        if (!faults) {
+          *failure = "Pin failed: " + st.ToString();
+          return false;
+        }
+        if (store.resident(s)) {
+          *failure = "failed Pin left sensor " + std::to_string(s) +
+                     " RESIDENT";
+          return false;
+        }
+      }
+      *failure = "Pin of sensor " + std::to_string(s) + " never succeeded";
+      return false;
+    };
+
+    obs::Counter& evict_failures =
+        obs::Registry::Global().GetCounter("store.evict_failures");
+    const std::uint64_t evict_failures_before = evict_failures.value();
+    if (faults) {
+      chaos::FaultSpec spec;
+      spec.probability = 0.2;
+      Arm({{"store.spill_write", spec},
+           {"store.rehydrate_read_short", spec}});
+    }
+
+    std::atomic<int> owners_running{kOwners};
+    std::vector<std::string> failures(kOwners + 1);
+    std::vector<int> failed_pins(kOwners, 0);
+    std::vector<std::thread> threads;
+    for (int o = 0; o < kOwners; ++o) {
+      threads.emplace_back([&, o] {
+        for (int step = 0; step < kSteps && failures[o].empty(); ++step) {
+          for (int k = 0; k < kSensorsPerOwner; ++k) {
+            const int s = o + k * kOwners;
+            if (!pin(s, &failures[o], &failed_pins[o])) break;
+            auto got = manager->engine(s).Predict();
+            const bool observed =
+                manager->engine(s).Observe(fleet.streams[s][step]).ok();
+            store.Unpin(s);
+            if (!got.ok() || !same(*got, want[s][step]) || !observed) {
+              failures[o] = "sensor " + std::to_string(s) +
+                            " diverged at step " + std::to_string(step);
+              break;
+            }
+            const Status swept = store.EnforceBudget();
+            if (!swept.ok() && !faults) {
+              failures[o] = "EnforceBudget: " + swept.ToString();
+              break;
+            }
+          }
+        }
+        owners_running.fetch_sub(1);
+      });
+    }
+    std::vector<std::string> violations;
+    threads.emplace_back([&] {
+      std::string& failure = failures[kOwners];
+      // Any refusal must be a pinned sensor or (with faults) a torn spill.
+      auto allowed = [&](const Status& st) {
+        return st.ok() || st.code() == StatusCode::kFailedPrecondition ||
+               (faults && st.code() == StatusCode::kInternal);
+      };
+      while (owners_running.load() > 0 && failure.empty()) {
+        for (int s = 0; s < kSensors && failure.empty(); ++s) {
+          const Status swept = store.EnforceBudget();
+          const Status evicted = store.Evict(s);
+          // Segments are only ever published complete, so a snapshot
+          // never sees a fault: it succeeds unless the sensor is pinned.
+          auto snap = store.StableSnapshot(s);
+          if (!allowed(swept) || !allowed(evicted)) {
+            failure = "sweeper: " + swept.ToString() + " / " +
+                      evicted.ToString();
+          } else if (!snap.ok() &&
+                     snap.status().code() != StatusCode::kFailedPrecondition) {
+            failure = "StableSnapshot: " + snap.status().ToString();
+          }
+          chaos::InvariantChecker::CheckStoreResidency(
+              "sweep sensor " + std::to_string(s), store, &violations);
+        }
+      }
+    });
+    for (std::thread& t : threads) t.join();
+    chaos::FaultRegistry::Global().Disarm();
+
+    for (const std::string& failure : failures) {
+      EXPECT_TRUE(failure.empty()) << failure;
+    }
+    chaos::InvariantChecker::CheckStoreResidency("after join", store,
+                                                 &violations);
+    EXPECT_TRUE(violations.empty()) << violations.front();
+    // Quiescent: one sweep brings the one global budget back.
+    EXPECT_TRUE(store.EnforceBudget().ok());
+    EXPECT_LE(store.resident_bytes(), store.budget_bytes());
+
+    int total_failed_pins = 0;
+    for (int n : failed_pins) total_failed_pins += n;
+    if (!faults) {
+      EXPECT_EQ(total_failed_pins, 0);
+    }
+#if defined(SMILER_ENABLE_CHAOS)
+    if (faults) {
+      // The storm really tore spills and cut reads under traffic.
+      EXPECT_GT(total_failed_pins, 0);
+      EXPECT_GT(evict_failures.value(), evict_failures_before);
+
+      // Both faults once more on the quiescent store, where the outcome
+      // is exact. A torn spill keeps the engine RESIDENT and publishes
+      // no segment; the slot stays usable.
+      const int s = 0;
+      ASSERT_TRUE(store.Pin(s).ok());
+      store.Unpin(s);
+      chaos::FaultSpec always;
+      always.probability = 1.0;
+      Arm({{"store.spill_write", always}});
+      EXPECT_EQ(store.Evict(s).code(), StatusCode::kInternal);
+      store::TieredStateStore::SlotInfo info = store.Inspect()[s];
+      EXPECT_TRUE(info.resident);
+      EXPECT_TRUE(info.engine_present);
+      EXPECT_FALSE(info.has_segment);
+      chaos::FaultRegistry::Global().Disarm();
+      // A short read fails the Pin with the COLD state and its segment
+      // intact, so the retry rehydrates.
+      ASSERT_TRUE(store.Evict(s).ok());
+      Arm({{"store.rehydrate_read_short", always}});
+      EXPECT_FALSE(store.Pin(s).ok());
+      info = store.Inspect()[s];
+      EXPECT_FALSE(info.resident);
+      EXPECT_FALSE(info.engine_present);
+      EXPECT_TRUE(info.has_segment);
+      chaos::FaultRegistry::Global().Disarm();
+    }
+#else
+    (void)evict_failures_before;
+#endif
+
+    for (int s = 0; s < kSensors; ++s) {
+      ASSERT_TRUE(store.Pin(s).ok());
+      auto got = manager->engine(s).Predict();
+      store.Unpin(s);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(same(*got, want[s][kSteps])) << "sensor " << s;
+    }
+  }
+};
+
+TEST_F(StoreConcurrencyTest, OwnersAndSweeperKeepResidencyAndPredictions) {
+  RunTraffic("store_concurrency", /*faults=*/false);
+}
+
+TEST_F(StoreConcurrencyTest, TornSpillsAndShortReadsUnderTraffic) {
+  RunTraffic("store_concurrency_faults", /*faults=*/true);
 }
 
 }  // namespace
